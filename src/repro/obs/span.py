@@ -62,11 +62,22 @@ SOURCES = ("sim", "live")
 #: How the request's data path resolved.  ``hit``/``miss`` are the paper's
 #: cache outcomes; ``coalesced`` is a miss served by another request's
 #: in-flight disk read; the ``gms_*`` outcomes are WRR/GMS memory hits;
+#: ``dynamic`` is an uncacheable CGI request (neither hit nor miss);
 #: ``rejected`` is a live 503 (admission timeout or no back-end);
 #: ``lost`` is a fault-model request abandoned after exhausting its
 #: client retries against a crashed-but-undetected node.
 OUTCOMES = frozenset(
-    {"hit", "miss", "coalesced", "gms_local", "gms_remote", "rejected", "error", "lost"}
+    {
+        "hit",
+        "miss",
+        "coalesced",
+        "gms_local",
+        "gms_remote",
+        "dynamic",
+        "rejected",
+        "error",
+        "lost",
+    }
 )
 
 #: Injected-fault event names.  Simulator fault model: ``crash`` (node
