@@ -19,12 +19,12 @@ This module closes that gap for the discrete-event simulator:
   replacing hand-written event tuples for chaos campaigns.
 
 :class:`FaultRuntime` executes a schedule against a running cluster.  It
-follows the sanitizer/tracer pattern: the front-end branches into a
-separate *faulty* admission path only when a runtime is attached
-(``FrontEnd.faults``), so the fault-free hot path is byte-for-byte
-untouched and the perf gate holds.  With an **empty** schedule the
-faulty path replays the plain path's state mutations exactly, so its
-results are byte-identical — the test suite asserts both properties.
+follows the sanitizer/tracer pattern: it is attached from outside
+(``FrontEnd.faults``) and the request lifecycle consults it at each
+dispatch; detached, it costs one ``None`` check per stage.  With an
+**empty** schedule no timeout ever fires, so the results and the event
+count are identical to a run without a runtime — the test suite asserts
+both properties.
 
 Scheduling caveat (shared with ``membership_events``): the engine runs
 until its queue is empty, so fault events placed past trace completion
@@ -368,24 +368,13 @@ def generate_fault_schedule(
     return schedule
 
 
-class _FaultProbe:
-    """Minimal span stand-in for the faulty serve path: collects the
-    per-request cache outcome via ``serve_traced`` without a tracer."""
-
-    __slots__ = ("phases", "outcome")
-
-    def __init__(self) -> None:
-        self.phases: Dict[str, float] = {}
-        self.outcome: str = "error"
-
-
 class FaultRuntime:
     """Executes one :class:`FaultSchedule` against a running cluster.
 
     All cluster references are duck-typed (``Any``), mirroring the
     sanitizer and tracer: the runtime is attached from outside
-    (``FrontEnd.faults``) and the front-end branches into its faulty
-    admission path only when it is present.
+    (``FrontEnd.faults``) and the request lifecycle consults it only
+    when it is present.
     """
 
     def __init__(
@@ -420,15 +409,11 @@ class FaultRuntime:
         self._delays: Dict[int, List[float]] = {}
         self._engine: Optional[Any] = None
 
-    # -- hot helpers (called per dispatch on the faulty path) ------------------
+    # -- hot helpers (called per dispatch by the request lifecycle) ------------
 
     def is_dark(self, node: int) -> bool:
         """True while ``node`` is crashed (detected or not)."""
         return self._dark[node]
-
-    def probe(self) -> _FaultProbe:
-        """Fresh outcome probe for one request's ``serve_traced`` call."""
-        return _FaultProbe()
 
     # -- schedule execution ----------------------------------------------------
 
@@ -468,9 +453,10 @@ class FaultRuntime:
 
     def _crash(self, node: int) -> None:
         """The node goes dark; the front-end keeps routing to it until
-        detection (its in-flight work drains — the simulator's serving
-        generators cannot be torn down mid-yield, an approximation the
-        orphan accounting at detection compensates for)."""
+        detection.  Requests already being served there drain (a
+        service in progress is not torn down, an approximation the
+        orphan accounting at detection compensates for); new dispatches
+        time out client-side."""
         self._dark[node] = True
         self._emit("crash", node)
 

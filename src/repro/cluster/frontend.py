@@ -21,30 +21,24 @@ policy per request and moves the connection when the policy says so).
 It also owns cluster-membership dynamics (paper Section 2.6): failures
 drop a node's mappings, load accounting and (on rejoin) cache, while
 connections already in flight drain without corrupting the books.
+
+Admitted connections run on the request lifecycle state machine in
+:mod:`repro.cluster.fastpath`; the per-connection accounting helpers
+below are the canonical bodies it inlines on its per-request path.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.base import Policy
-from ..sim import Delay, Engine
+from ..sim import Engine
 from ..workload.trace import Trace
 from .fastpath import FastPath
 from .metrics import LoadTracker
 from .node import BackendNode
 
 __all__ = ["FrontEnd", "PERSISTENT_POLICIES"]
-
-# Audited by lardlint's twin-drift pass: the traced and faulty admission
-# variants must keep the same effect skeleton as the plain ones.
-__twin_of__ = {
-    "FrontEnd._admit_traced": "repro.cluster.frontend.FrontEnd._admit",
-    "FrontEnd._admit_faulty": "repro.cluster.frontend.FrontEnd._admit",
-    "FrontEnd._connection_traced": "repro.cluster.frontend.FrontEnd._connection",
-    "FrontEnd._connection_faulty": "repro.cluster.frontend.FrontEnd._connection",
-}
 
 PERSISTENT_POLICIES = ("sticky", "rehandoff")
 
@@ -120,53 +114,26 @@ class FrontEnd:
         #: When True, every request's delay is recorded (percentiles).
         self.collect_delays: bool = False
         self.delays_s: List[float] = []
-        #: Optional :class:`repro.obs.tracer.SimTracer`.  Like the
-        #: invariant sanitizer, tracing swaps in separate instrumented
-        #: generators (``_admit_traced``) so the unhooked hot path below
-        #: is untouched; the traced path replays the same state
-        #: mutations, so results stay byte-identical.
+        #: Optional :class:`repro.obs.tracer.SimTracer` and
+        #: :class:`repro.cluster.faults.FaultRuntime`, attached before
+        #: :meth:`start`.  They observe the request lifecycle
+        #: (:mod:`repro.cluster.fastpath`) without changing its results:
+        #: the tracer records one span per request, the fault runtime
+        #: adds crash timeouts, client retries and lost-request
+        #: accounting (with an empty schedule, none of these fire).
         self.tracer: Optional[Any] = None
-        #: Optional :class:`repro.cluster.faults.FaultRuntime`.  Same
-        #: attach-from-outside pattern: when set, admission runs the
-        #: faulty twin path (``_admit_faulty``), which adds crash
-        #: detection lag, client retries and lost-request accounting.
-        #: With an empty schedule it replays the plain path exactly.
         self.faults: Optional[Any] = None
-        #: Flattened state-machine request path (repro.cluster.fastpath):
-        #: byte-identical to the generator twins, minus the coroutine
-        #: machinery.  Eligible only for the paper's one-request
-        #: connections over a uniform cost model; ``REPRO_SIM_FASTPATH=0``
-        #: forces the generator path (the identity tests' reference).
-        #: Tracer/fault attachment is rechecked per _admit call, so this
-        #: being set does not bypass those twins.
+        #: The request lifecycle, built by :meth:`start` once the
+        #: observers are attached.
         self._fastpath: Optional[FastPath] = None
-        if (
-            requests_per_connection == 1
-            and len(nodes) > 0
-            and all(n.costs is nodes[0].costs for n in nodes)
-            # Provable equivalence for dynamic (CGI) catalogs: the fast
-            # path captures one dynamic-cost table, so every node must
-            # hold the *same* table object (None included).
-            and all(
-                n.dynamic_cost_of_target is nodes[0].dynamic_cost_of_target
-                for n in nodes
-            )
-            # Policies opt out of the flattened path by setting
-            # Policy.fastpath_safe = False (e.g. a future strategy that
-            # consumes entropy outside choose or overrides the inlined
-            # on_dispatch/on_complete hooks); they then always run the
-            # generator twins, which make no assumptions about the
-            # policy beyond the base-class contract.
-            and getattr(policy, "fastpath_safe", True)
-            and os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"  # lardlint: disable=transitive-nondeterminism -- config-time escape hatch; fastpath and generator path are byte-identity-tested twins
-        ):
-            self._fastpath = FastPath(self)
 
     # -- driving ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Admit the initial batch; completions keep the pipeline full."""
-        self._admit()
+        """Build the request lifecycle and admit the initial batch;
+        completions keep the pipeline full."""
+        self._fastpath = FastPath(self)
+        self._fastpath.admit()
 
     @property
     def done(self) -> bool:
@@ -211,237 +178,8 @@ class FrontEnd:
                 backend.cache.age(aged_fraction)
         if self._auto_limit:
             self.max_in_flight = self.policy.admission_limit
-        self._admit()
-
-    # -- admission ---------------------------------------------------------------
-
-    def _take_batch(self) -> List[Tuple[int, int]]:
-        """Next connection's requests: up to requests_per_connection."""
-        targets = self._target_list
-        sizes = self._size_list
-        n = len(targets)
-        batch: List[Tuple[int, int]] = []
-        while self._next < n and len(batch) < self.requests_per_connection:
-            target = targets[self._next]
-            batch.append((target, sizes[target]))
-            self._next += 1
-        return batch
-
-    def _admit(self) -> None:
-        if self.faults is not None:
-            self._admit_faulty()
-            return
-        if self.tracer is not None:
-            self._admit_traced()
-            return
         if self._fastpath is not None:
             self._fastpath.admit()
-            return
-        targets = self._target_list
-        n = len(targets)
-        if self.requests_per_connection == 1:
-            # Fast path for the paper's HTTP/1.0 evaluation: one request
-            # per connection, so no batch list is needed.
-            sizes = self._size_list
-            engine = self.engine
-            choose = self.policy.choose
-            take = self._take_prediction
-            while self.in_flight < self.max_in_flight and self._next < n:
-                target = targets[self._next]
-                self._next += 1
-                size = sizes[target]
-                node_id = choose(target, size, now=engine.now)
-                hit_hint = take() if take is not None else None
-                self._attach(node_id)
-                self.connections += 1
-                self.in_flight += 1
-                engine.process(self._single_request(target, size, node_id, hit_hint))
-            return
-        while self.in_flight < self.max_in_flight and self._next < n:
-            batch = self._take_batch()
-            target, size = batch[0]
-            now = self.engine.now
-            node_id = self.policy.choose(target, size, now=now)
-            # LB/GC's idealized front-end cache model dictates hit/miss.
-            take = self._take_prediction
-            hit_hint = take() if take is not None else None
-            self._attach(node_id)
-            self.connections += 1
-            self.in_flight += 1
-            self.engine.process(self._connection(batch, node_id, hit_hint))
-
-    # -- the traced admission path (repro.obs) ----------------------------------
-
-    def _admit_traced(self) -> None:
-        """Admission with span tracing attached.
-
-        Mirrors :meth:`_admit` exactly — same policy calls, same counter
-        updates, same scheduling order — so a traced run's
-        :class:`~repro.cluster.metrics.SimulationResult` is
-        byte-identical to an untraced one.  The single-request fast path
-        collapses into the batch path here (a batch of one is
-        semantically identical, and traced runs are not perf-gated).
-        """
-        while self.in_flight < self.max_in_flight and self._next < len(
-            self._target_list
-        ):
-            batch = self._take_batch()
-            target, size = batch[0]
-            node_id = self.policy.choose(target, size, now=self.engine.now)
-            take = self._take_prediction
-            hit_hint = take() if take is not None else None
-            self._attach(node_id)
-            self.connections += 1
-            self.in_flight += 1
-            self.engine.process(self._connection_traced(batch, node_id, hit_hint))
-
-    def _connection_traced(self, batch: List[Tuple[int, int]], node_id: int, hit_hint):
-        """Traced twin of :meth:`_connection` (and of the
-        :meth:`_single_request` fast path, via a batch of one)."""
-        tracer = self.tracer
-        epoch = self._epoch[node_id]
-        last_index = len(batch) - 1
-        for index, (target, size) in enumerate(batch):
-            if index > 0:
-                hit_hint = None
-                if self.persistent_policy == "rehandoff":
-                    node_id, epoch, hit_hint = self._maybe_rehandoff(
-                        node_id, epoch, target, size
-                    )
-            start = self.engine.now
-            span = tracer.begin(target, size, node_id, start)
-            yield from self.nodes[node_id].serve_traced(
-                target,
-                size,
-                span,
-                hit_hint=hit_hint,
-                establish=(index == 0),
-                teardown=(index == last_index),
-            )
-            span.t_complete = self.engine.now
-            tracer.finish(span)
-            self._account_request(node_id, epoch, start)
-        self._detach(node_id, epoch)
-        self.in_flight -= 1
-        self._admit()
-
-    # -- the faulty admission path (repro.cluster.faults) -----------------------
-
-    def _admit_faulty(self) -> None:
-        """Admission with a fault runtime attached.
-
-        Mirrors :meth:`_admit_traced`'s batch structure (a batch of one
-        is semantically identical to the fast path), so with an empty
-        fault schedule the results are byte-identical to the plain
-        path.  Requests dispatched to a crashed-but-undetected back-end
-        time out client-side and are retried or lost per the schedule's
-        retry policy.
-        """
-        while self.in_flight < self.max_in_flight and self._next < len(
-            self._target_list
-        ):
-            batch = self._take_batch()
-            target, size = batch[0]
-            node_id = self.policy.choose(target, size, now=self.engine.now)
-            take = self._take_prediction
-            hit_hint = take() if take is not None else None
-            self._attach(node_id)
-            self.connections += 1
-            self.in_flight += 1
-            self.engine.process(self._connection_faulty(batch, node_id, hit_hint))
-
-    def _connection_faulty(self, batch: List[Tuple[int, int]], node_id: int, hit_hint):
-        """Faulty twin of :meth:`_connection`.
-
-        While the chosen back-end is crashed but undetected, a dispatch
-        is a black hole: the client waits out its timeout, backs off,
-        and re-requests through the front-end (which re-runs the
-        policy); after ``max_retries`` unanswered attempts the
-        connection's remaining requests are abandoned and counted lost.
-        A live back-end serves exactly as in :meth:`_connection`, via
-        the traced serve twin so the per-request cache outcome feeds the
-        degraded-mode series (a tracer span when tracing, otherwise a
-        throwaway probe).
-        """
-        faults = self.faults
-        retry = faults.retry
-        tracer = self.tracer
-        engine = self.engine
-        t_first = engine.now
-        n = len(batch)
-        index = 0
-        attempts = 0
-        epoch = self._epoch[node_id]
-        # True for the first request served after each (re)dispatch: it
-        # pays connection establishment and skips the rehandoff check
-        # (the policy just chose its node).
-        fresh_dispatch = True
-        while index < n:
-            if faults.is_dark(node_id):
-                faults.doomed_dispatches += 1
-                yield Delay(retry.timeout_s)
-                self._detach(node_id, epoch)
-                if attempts >= retry.max_retries:
-                    now = engine.now
-                    for i in range(index, n):
-                        self._account_lost(t_first)
-                        faults.record_lost(now, now - t_first)
-                        if tracer is not None:
-                            lost_target, lost_size = batch[i]
-                            tracer.lost(lost_target, lost_size, node_id, t_first, now)
-                    break
-                attempts += 1
-                faults.retried_requests += n - index
-                yield Delay(retry.backoff_s(attempts))
-                target, size = batch[index]
-                node_id = self.policy.choose(target, size, now=engine.now)
-                take = self._take_prediction
-                hit_hint = take() if take is not None else None
-                self._attach(node_id)
-                epoch = self._epoch[node_id]
-                fresh_dispatch = True
-                continue
-            target, size = batch[index]
-            if not fresh_dispatch:
-                hit_hint = None
-                if self.persistent_policy == "rehandoff":
-                    node_id, epoch, hit_hint = self._maybe_rehandoff(
-                        node_id, epoch, target, size
-                    )
-                    if faults.is_dark(node_id):
-                        # Rehandoff landed on a dark node: the attempt
-                        # times out there like any doomed dispatch.
-                        fresh_dispatch = True
-                        continue
-            start = engine.now
-            span = (
-                tracer.begin(target, size, node_id, start)
-                if tracer is not None
-                else faults.probe()
-            )
-            yield from self.nodes[node_id].serve_traced(
-                target,
-                size,
-                span,
-                hit_hint=hit_hint,
-                establish=fresh_dispatch,
-                teardown=(index == n - 1),
-            )
-            now = engine.now
-            if tracer is not None:
-                span.t_complete = now
-                tracer.finish(span)
-            request_start = t_first if index == 0 else start
-            self._account_request(node_id, epoch, request_start)
-            faults.record_served(
-                now, now - request_start, span.outcome in ("miss", "coalesced")
-            )
-            fresh_dispatch = False
-            index += 1
-        else:
-            self._detach(node_id, epoch)
-        self.in_flight -= 1
-        self._admit()
 
     # -- per-connection accounting --------------------------------------------------
 
@@ -486,56 +224,3 @@ class FrontEnd:
         if self.collect_delays:
             self.delays_s.append(now - start)
         self.completed += 1
-
-    # -- the connection process ----------------------------------------------------
-
-    def _single_request(self, target: int, size: int, node_id: int, hit_hint):
-        """One-request connection (requests_per_connection == 1 fast path)."""
-        epoch = self._epoch[node_id]
-        start = self.engine.now
-        yield from self.nodes[node_id].serve(target, size, hit_hint=hit_hint)
-        self._account_request(node_id, epoch, start)
-        self._detach(node_id, epoch)
-        self.in_flight -= 1
-        self._admit()
-
-    def _connection(self, batch: List[Tuple[int, int]], node_id: int, hit_hint):
-        epoch = self._epoch[node_id]
-        last_index = len(batch) - 1
-        for index, (target, size) in enumerate(batch):
-            if index > 0:
-                hit_hint = None
-                if self.persistent_policy == "rehandoff":
-                    node_id, epoch, hit_hint = self._maybe_rehandoff(
-                        node_id, epoch, target, size
-                    )
-            start = self.engine.now
-            yield from self.nodes[node_id].serve(
-                target,
-                size,
-                hit_hint=hit_hint,
-                establish=(index == 0),
-                teardown=(index == last_index),
-            )
-            self._account_request(node_id, epoch, start)
-        self._detach(node_id, epoch)
-        self.in_flight -= 1
-        self._admit()
-
-    def _maybe_rehandoff(self, node_id: int, epoch: int, target: int, size: int):
-        """Re-run the policy for the next request on a persistent connection."""
-        now = self.engine.now
-        new_node = self.policy.choose(target, size, now=now)
-        take = getattr(self.policy, "take_prediction", None)
-        hit_hint = take() if take is not None else None
-        if new_node == node_id and self._epoch[node_id] == epoch:
-            return node_id, epoch, hit_hint
-        # Move the connection: release the old node's slot, take the new.
-        if self._epoch[node_id] == epoch:
-            self.policy.on_complete(node_id)
-            self.tracker.on_complete(node_id, now)
-        else:
-            self.orphaned += 1
-        self._attach(new_node)
-        self.rehandoffs += 1
-        return new_node, self._epoch[new_node], hit_hint

@@ -3,7 +3,7 @@
 Each back-end consists of one CPU and one or more locally attached disks,
 each with its own FCFS queue, plus a whole-file main-memory cache.
 Serving a request takes these steps in sequence (overlapped across
-requests):
+requests; the sequence itself runs in :mod:`repro.cluster.fastpath`):
 
 1. connection establishment (CPU);
 2. disk reads if the file misses the cache — chunked at 44 KB, with "the
@@ -24,24 +24,19 @@ remote hits charge fetch CPU time at *both* the holder and the requester.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 from ..cache.base import Cache
-from ..cache.gms import GlobalMemorySystem, GMSOutcome
-from ..sim import Engine, Resource, Service, SimEvent, Wait
+from ..cache.gms import GlobalMemorySystem
+from ..sim import Engine, Resource, SimEvent
 from .costs import CostModel
 
 __all__ = ["BackendNode"]
 
-# Audited by lardlint's twin-drift pass: the traced serve path must keep
-# the same effect skeleton as the plain one.
-__twin_of__ = {
-    "BackendNode.serve_traced": "repro.cluster.node.BackendNode.serve",
-}
-
 
 class BackendNode:
-    """One simulated back-end: CPU + disks + cache, serving whole requests."""
+    """One simulated back-end: CPU + disks + cache, plus the counters of
+    the requests it served."""
 
     def __init__(
         self,
@@ -78,8 +73,7 @@ class BackendNode:
         #: Set by the cluster: target -> disk index (frequency striping).
         self.disk_of_target: Optional[Sequence[int]] = None
         #: Set by the cluster: target -> CPU (CGI) cost in seconds, or
-        #: ``None`` for an all-static catalog.  Shared by identity across
-        #: all nodes of one cluster (the fast-path gate checks ``is``).
+        #: ``None`` for an all-static catalog.
         self.dynamic_cost_of_target: Optional[Sequence[float]] = None
         self._pending: Dict[Hashable, SimEvent] = {}
         # Counters (paper metrics).
@@ -96,9 +90,9 @@ class BackendNode:
     def set_costs(self, costs: CostModel) -> None:
         """Swap the node's cost model mid-run (brownout fault injection).
 
-        Refolds the hot-path constants; requests already inside a serve
-        generator finish any yielded service at the old rate, new work
-        pays the new rates.
+        Refolds the hot-path constants; a service already enqueued
+        finishes at the old rate, services enqueued from now on pay the
+        new rates.
         """
         self.costs = costs
         self._conn_time = costs.connection_time()
@@ -114,305 +108,6 @@ class BackendNode:
         if self.disk_of_target is not None and isinstance(target, int):
             return self.disks[self.disk_of_target[target] % len(self.disks)]
         return self.disks[hash(target) % len(self.disks)]
-
-    # -- request lifecycle ----------------------------------------------------------
-
-    def serve(
-        self,
-        target: Hashable,
-        size: int,
-        hit_hint: Optional[bool] = None,
-        establish: bool = True,
-        teardown: bool = True,
-    ):
-        """Generator process serving one request end to end.
-
-        ``hit_hint`` is set only for LB/GC: the front-end's idealized cache
-        model dictates whether this request hits, so the node obeys the
-        prediction instead of consulting a private cache.
-
-        ``establish``/``teardown`` amortize connection costs over
-        persistent connections: only a connection's first request pays
-        establishment and only its last pays teardown (paper Section 5's
-        HTTP/1.1 discussion).
-        """
-        if establish:
-            yield Service(self.cpu, self._conn_time)
-        dyn = self.dynamic_cost_of_target
-        if dyn is not None and isinstance(target, int) and dyn[target] > 0.0:
-            # Dynamic (CGI) request: CPU-bound compute, uncacheable, so it
-            # bypasses the cache entirely and is neither a hit nor a miss.
-            # One combined CPU service: compute + transmit of the
-            # generated bytes (same arithmetic as the fast path).
-            self.dynamic_requests += 1
-            yield Service(
-                self.cpu,
-                self.costs.dynamic_service_time(dyn[target])
-                + ((size + 511) // 512) * self._transmit_per_unit,
-            )
-        elif hit_hint is not None:
-            yield from self._fetch_hinted(target, size, hit_hint)
-        elif self.gms is not None:
-            yield from self._fetch_gms(target, size)
-        else:
-            yield from self._fetch_local(target, size)
-        if teardown:
-            yield Service(self.cpu, self._teardown_time)
-        self.requests_served += 1
-        self.bytes_served += size
-
-    def _fetch_hinted(self, target: Hashable, size: int, hit: bool):
-        if hit:
-            self.cache_hits += 1
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            return
-        if (yield from self._serve_inflight(target, size)):
-            return
-        self.cache_misses += 1
-        yield from self._disk_read(target, size)
-
-    def _fetch_local(self, target: Hashable, size: int):
-        pending = self._pending.get(target)
-        if pending is not None:
-            yield from self._serve_inflight_pending(pending, target, size)
-            return
-        if self.cache.access(target, size):
-            self.cache_hits += 1
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            return
-        self.cache_misses += 1
-        yield from self._disk_read(target, size)
-
-    def _serve_inflight(self, target: Hashable, size: int):
-        """Handle a request whose file is currently being read from disk.
-
-        Returns True (and completes the data path) if the file was
-        in-flight: with coalescing the request waits for the one read in
-        progress; without it, the request issues its own independent read
-        (the paper's baseline the coalescing optimization removes).
-        """
-        pending = self._pending.get(target)
-        if pending is None:
-            return False
-        yield from self._serve_inflight_pending(pending, target, size)
-        return True
-
-    def _serve_inflight_pending(self, pending: SimEvent, target: Hashable, size: int):
-        """Data path for a request that found its file already being read."""
-        self.cache_misses += 1
-        if self.coalesce_reads:
-            self.coalesced_reads += 1
-            yield Wait(pending)
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-        else:
-            yield from self._chunked_read(target, size)
-
-    def _disk_read(self, target: Hashable, size: int):
-        """First read of a file: registers the in-flight marker."""
-        event = SimEvent(self.engine, name=f"read[{self.node_id}:{target}]")
-        self._pending[target] = event
-        yield from self._chunked_read(target, size)
-        del self._pending[target]
-        event.trigger()
-
-    def _chunked_read(self, target: Hashable, size: int):
-        """Chunked read from disk, interleaving transmit per block."""
-        self.disk_reads += 1
-        disk = self.disk_for(target)
-        cpu = self.cpu
-        per_unit = self._transmit_per_unit
-        for chunk_bytes, disk_time in self.costs.disk_chunks(size):
-            yield Service(disk, disk_time)
-            yield Service(cpu, ((chunk_bytes + 511) // 512) * per_unit)
-
-    def _fetch_gms(self, target: Hashable, size: int):
-        if self.gms is None:
-            raise RuntimeError("GMS fetch path taken on a node with no GMS attached")
-        if (yield from self._serve_inflight(target, size)):
-            return
-        result = self.gms.access(self.node_id, target, size)
-        if result.outcome is GMSOutcome.LOCAL_HIT:
-            self.cache_hits += 1
-            self.gms_local_hits += 1
-            yield Service(self.cpu, self.costs.transmit_time(size))
-        elif result.outcome is GMSOutcome.REMOTE_HIT:
-            # Counted as a memory hit cluster-wide: the request is served
-            # without touching a disk, but both peers pay fetch CPU.
-            self.cache_hits += 1
-            self.gms_remote_hits += 1
-            holder = self.peers[result.holder]
-            fetch = self.costs.gms_fetch_time(size)
-            yield Service(holder.cpu, fetch)
-            yield Service(self.cpu, fetch)
-            yield Service(self.cpu, self.costs.transmit_time(size))
-        else:
-            self.cache_misses += 1
-            yield from self._disk_read(target, size)
-
-    # -- the traced request lifecycle (repro.obs) ------------------------------------
-    #
-    # Traced twins of the serve/fetch generators above, used only when a
-    # SimTracer is attached to the front-end.  Each twin performs the
-    # *identical* state mutations and yields the identical command
-    # sequence, additionally recording per-phase simulated-time deltas
-    # into ``span.phases`` and returning the span outcome.  Keeping them
-    # separate (the sanitizer's pattern) leaves the unhooked hot path
-    # byte-for-byte untouched.
-
-    def serve_traced(
-        self,
-        target: Hashable,
-        size: int,
-        span: Any,
-        hit_hint: Optional[bool] = None,
-        establish: bool = True,
-        teardown: bool = True,
-    ):
-        """Traced twin of :meth:`serve`: same effects, plus span phases."""
-        engine = self.engine
-        phases = span.phases
-        if establish:
-            t0 = engine.now
-            yield Service(self.cpu, self._conn_time)
-            phases["establish"] = phases.get("establish", 0.0) + (engine.now - t0)
-        dyn = self.dynamic_cost_of_target
-        if dyn is not None and isinstance(target, int) and dyn[target] > 0.0:
-            self.dynamic_requests += 1
-            t0 = engine.now
-            yield Service(
-                self.cpu,
-                self.costs.dynamic_service_time(dyn[target])
-                + ((size + 511) // 512) * self._transmit_per_unit,
-            )
-            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
-            outcome = "dynamic"
-        elif hit_hint is not None:
-            outcome = yield from self._fetch_hinted_traced(target, size, hit_hint, phases)
-        elif self.gms is not None:
-            outcome = yield from self._fetch_gms_traced(target, size, phases)
-        else:
-            outcome = yield from self._fetch_local_traced(target, size, phases)
-        if teardown:
-            t0 = engine.now
-            yield Service(self.cpu, self._teardown_time)
-            phases["teardown"] = phases.get("teardown", 0.0) + (engine.now - t0)
-        self.requests_served += 1
-        self.bytes_served += size
-        span.outcome = outcome
-
-    def _fetch_hinted_traced(
-        self, target: Hashable, size: int, hit: bool, phases: Dict[str, float]
-    ):
-        if hit:
-            self.cache_hits += 1
-            t0 = self.engine.now
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            phases["cpu"] = phases.get("cpu", 0.0) + (self.engine.now - t0)
-            return "hit"
-        pending = self._pending.get(target)
-        if pending is not None:
-            return (
-                yield from self._serve_inflight_pending_traced(
-                    pending, target, size, phases
-                )
-            )
-        self.cache_misses += 1
-        yield from self._disk_read_traced(target, size, phases)
-        return "miss"
-
-    def _fetch_local_traced(self, target: Hashable, size: int, phases: Dict[str, float]):
-        pending = self._pending.get(target)
-        if pending is not None:
-            return (
-                yield from self._serve_inflight_pending_traced(
-                    pending, target, size, phases
-                )
-            )
-        if self.cache.access(target, size):
-            self.cache_hits += 1
-            t0 = self.engine.now
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            phases["cpu"] = phases.get("cpu", 0.0) + (self.engine.now - t0)
-            return "hit"
-        self.cache_misses += 1
-        yield from self._disk_read_traced(target, size, phases)
-        return "miss"
-
-    def _serve_inflight_pending_traced(
-        self, pending: SimEvent, target: Hashable, size: int, phases: Dict[str, float]
-    ):
-        self.cache_misses += 1
-        if self.coalesce_reads:
-            self.coalesced_reads += 1
-            engine = self.engine
-            t0 = engine.now
-            yield Wait(pending)
-            phases["queue"] = phases.get("queue", 0.0) + (engine.now - t0)
-            t0 = engine.now
-            yield Service(self.cpu, ((size + 511) // 512) * self._transmit_per_unit)
-            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
-            return "coalesced"
-        yield from self._chunked_read_traced(target, size, phases)
-        return "miss"
-
-    def _disk_read_traced(self, target: Hashable, size: int, phases: Dict[str, float]):
-        event = SimEvent(self.engine, name=f"read[{self.node_id}:{target}]")
-        self._pending[target] = event
-        yield from self._chunked_read_traced(target, size, phases)
-        del self._pending[target]
-        event.trigger()
-
-    def _chunked_read_traced(self, target: Hashable, size: int, phases: Dict[str, float]):
-        self.disk_reads += 1
-        disk = self.disk_for(target)
-        cpu = self.cpu
-        per_unit = self._transmit_per_unit
-        engine = self.engine
-        disk_total = phases.get("disk", 0.0)
-        cpu_total = phases.get("cpu", 0.0)
-        for chunk_bytes, disk_time in self.costs.disk_chunks(size):
-            t0 = engine.now
-            yield Service(disk, disk_time)
-            t1 = engine.now
-            yield Service(cpu, ((chunk_bytes + 511) // 512) * per_unit)
-            disk_total += t1 - t0
-            cpu_total += engine.now - t1
-        phases["disk"] = disk_total
-        phases["cpu"] = cpu_total
-
-    def _fetch_gms_traced(self, target: Hashable, size: int, phases: Dict[str, float]):
-        if self.gms is None:
-            raise RuntimeError("GMS fetch path taken on a node with no GMS attached")
-        pending = self._pending.get(target)
-        if pending is not None:
-            return (
-                yield from self._serve_inflight_pending_traced(
-                    pending, target, size, phases
-                )
-            )
-        result = self.gms.access(self.node_id, target, size)
-        engine = self.engine
-        if result.outcome is GMSOutcome.LOCAL_HIT:
-            self.cache_hits += 1
-            self.gms_local_hits += 1
-            t0 = engine.now
-            yield Service(self.cpu, self.costs.transmit_time(size))
-            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
-            return "gms_local"
-        if result.outcome is GMSOutcome.REMOTE_HIT:
-            self.cache_hits += 1
-            self.gms_remote_hits += 1
-            holder = self.peers[result.holder]
-            fetch = self.costs.gms_fetch_time(size)
-            t0 = engine.now
-            yield Service(holder.cpu, fetch)
-            yield Service(self.cpu, fetch)
-            yield Service(self.cpu, self.costs.transmit_time(size))
-            phases["cpu"] = phases.get("cpu", 0.0) + (engine.now - t0)
-            return "gms_remote"
-        self.cache_misses += 1
-        yield from self._disk_read_traced(target, size, phases)
-        return "miss"
 
     # -- reporting -----------------------------------------------------------------
 

@@ -178,8 +178,8 @@ class ClusterConfig:
     sanitize_interval: int = 256
     #: Optional simulator fault model (:mod:`repro.cluster.faults`):
     #: crash faults with detection lag and client retries, brownouts,
-    #: and cold/warm/aged rejoins.  ``None`` keeps the untouched
-    #: fault-free hot path.  Mutually exclusive with
+    #: and cold/warm/aged rejoins.  ``None`` runs fault-free.
+    #: Mutually exclusive with
     #: ``membership_events`` (the fault model subsumes them).
     fault_schedule: Optional[FaultSchedule] = None
     #: Seed for randomized policies (``pod``, ``pod/lc``); equal seeds
@@ -225,10 +225,10 @@ class ClusterConfig:
 class ClusterSimulator:
     """Builds and runs one cluster over one trace.
 
-    ``tracer`` attaches a :class:`repro.obs.tracer.SimTracer`: the
-    front-end then runs its instrumented admission path, emitting one
-    span per request (plus periodic samples) while producing the exact
-    same :class:`~repro.cluster.metrics.SimulationResult`.
+    ``tracer`` attaches a :class:`repro.obs.tracer.SimTracer` to the
+    request lifecycle, emitting one span per request (plus periodic
+    samples) while producing the exact same
+    :class:`~repro.cluster.metrics.SimulationResult`.
     """
 
     def __init__(
@@ -290,9 +290,7 @@ class ClusterSimulator:
             )
             node.disk_of_target = disk_of
             self.nodes.append(node)
-        # One shared dynamic-cost table (or None) across all nodes, set
-        # before the front-end is built: the fast path captures it at
-        # construction and its eligibility gate checks table identity.
+        # One shared dynamic-cost table (or None) across all nodes.
         dynamic_costs = trace.dynamic_cost_list()
         for node in self.nodes:
             node.peers = self.nodes
@@ -406,8 +404,8 @@ def run_simulation(
 
     ``trace_out`` writes a JSONL span log (one span per request; see
     :mod:`repro.obs.span`) to that path; ``sample_interval_s``
-    additionally emits periodic time-series samples.  Tracing runs the
-    instrumented admission path but the returned result is identical.
+    additionally emits periodic time-series samples.  The returned
+    result is identical to an untraced run's.
     """
     base = config if config is not None else ClusterConfig()
     if overrides:

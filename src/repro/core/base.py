@@ -12,7 +12,10 @@ sees exactly two kinds of information (Section 2.1):
 :meth:`Policy.choose` to pick a back-end for a request, then
 :meth:`Policy.on_dispatch` / :meth:`Policy.on_complete` as the connection
 is handed off and finishes; the base class maintains the active-connection
-load vector so concrete strategies only implement decision logic.
+load vector so concrete strategies only implement decision logic.  The
+simulator's request lifecycle (:mod:`repro.cluster.fastpath`) inlines
+the bodies of ``on_dispatch``/``on_complete`` on its per-request path,
+so strategies must not override them.
 
 The base class also owns the paper's admission rule: the front-end limits
 the number of connections admitted cluster-wide to
@@ -102,18 +105,6 @@ class Policy(abc.ABC):
 
     #: Registry name, overridden by subclasses (e.g. ``"lard/r"``).
     name: str = "policy"
-
-    #: Whether the flattened fast path (:mod:`repro.cluster.fastpath`)
-    #: may drive this policy.  True for every strategy whose ``choose``
-    #: is a pure function of policy state mutated only through the
-    #: :class:`Policy` bookkeeping contract — including seeded-RNG
-    #: strategies, because both request paths call ``choose`` exactly
-    #: once per admitted request in the same order, so a deterministic
-    #: generator advances identically.  A future policy that consumes
-    #: entropy outside ``choose`` (or overrides ``on_dispatch`` /
-    #: ``on_complete``, which the fast path inlines) must set this
-    #: False to force the generator twins.
-    fastpath_safe: bool = True
 
     def __init__(
         self,

@@ -22,9 +22,8 @@ but with O(d) decision state instead of an explicit server-set table.
 
 Both policies draw randomness exclusively from a per-instance
 ``random.Random(seed)`` and consume it only inside :meth:`choose`, which
-both request paths call exactly once per admitted request in the same
-order — so runs are deterministic and fastpath-eligible (the flattened
-fast path and the generator twin advance the generator identically).
+the request lifecycle calls once per dispatch in a fixed order — so
+runs are deterministic.
 """
 
 from __future__ import annotations

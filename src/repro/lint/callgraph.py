@@ -2,9 +2,8 @@
 
 The per-file rules in :mod:`repro.lint.determinism` and
 :mod:`repro.lint.concurrency` see one AST at a time; the whole-program
-passes (:mod:`repro.lint.interproc`, :mod:`repro.lint.locksets`,
-:mod:`repro.lint.twins`) all consume the :class:`ProjectSummary` built
-here instead — one extraction pass over every file, shared by every
+passes (:mod:`repro.lint.interproc`, :mod:`repro.lint.locksets`) both
+consume the :class:`ProjectSummary` built here instead — one extraction pass over every file, shared by every
 interprocedural rule.
 
 Resolution model (and its deliberate limits):
@@ -19,15 +18,14 @@ Resolution model (and its deliberate limits):
   ``AnnAssign`` annotation, or a ``ClassName(...)`` construction),
   annotated parameters, and locals assigned from constructions or from
   typed ``self`` attributes.  Subscripts are looked through
-  (``self.nodes[i].serve`` resolves via the element type of
+  (``self.nodes[i].disk_for`` resolves via the element type of
   ``Sequence[BackendNode]``), and container annotations
   (``Optional``/``Sequence``/``List``/``Tuple``/``Iterable``) unwrap to
   their element class.
 * **Dynamic dispatch** is handled conservatively: a resolved method call
   also edges to every project subclass that overrides the method.  A
   call whose receiver type cannot be derived syntactically produces *no*
-  edge (it still records its terminal attribute name as a call effect,
-  which is what the twin-drift vocabulary keys on).
+  edge.
 * **Callback references** — ``self._cb = self._stage`` aliases declared
   in ``__init__``, and bare ``self.method`` loads — produce *reference*
   edges (``CallSite.is_ref``): the engine will call them, so
@@ -155,7 +153,6 @@ class FunctionSummary:
     line: int
     calls: List[CallSite] = field(default_factory=list)
     sources: List[SourceRecord] = field(default_factory=list)
-    effects: List[Tuple[str, str]] = field(default_factory=list)
     writes: List[WriteRecord] = field(default_factory=list)
 
 
@@ -177,13 +174,11 @@ class ClassSummary:
 
 @dataclass
 class ModuleSummary:
-    """One analyzed module: identity plus its twin declarations."""
+    """One analyzed module's identity."""
 
     module: str
     path: str
     package: str
-    #: local qualname -> (fully qualified counterpart, declaration line).
-    twins: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -280,7 +275,7 @@ def module_name_for(path: Path) -> str:
 
 def _chain_parts(expr: ast.expr) -> Optional[List[str]]:
     """Dotted attribute chain with subscripts looked through
-    (``self.nodes[i].serve`` -> ``["self", "nodes", "serve"]``)."""
+    (``self.nodes[i].disk_for`` -> ``["self", "nodes", "disk_for"]``)."""
     parts: List[str] = []
     node: ast.expr = expr
     while True:
@@ -332,23 +327,6 @@ def _annotation_name(annotation: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def _string_pairs(value: ast.expr) -> Optional[List[Tuple[str, str]]]:
-    """``{"a": "b", ...}`` dict literal as string pairs, else None."""
-    if not isinstance(value, ast.Dict):
-        return None
-    out: List[Tuple[str, str]] = []
-    for key, val in zip(value.keys, value.values):
-        if not (
-            isinstance(key, ast.Constant)
-            and isinstance(key.value, str)
-            and isinstance(val, ast.Constant)
-            and isinstance(val.value, str)
-        ):
-            return None
-        out.append((key.value, val.value))
-    return out
 
 
 def _string_tuple(value: ast.expr) -> Tuple[str, ...]:
@@ -469,20 +447,12 @@ class _ModuleScan:
         self.imports_sym: Dict[str, Tuple[str, str]] = {}
         self.functions: Dict[str, ast.FunctionDef] = {}
         self.classes: Dict[str, _ClassScan] = {}
-        self.twins: Dict[str, Tuple[str, int]] = {}
         self.det_imports = _Imports(tree)
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions[stmt.name] = stmt  # type: ignore[assignment]
             elif isinstance(stmt, ast.ClassDef):
                 self.classes[stmt.name] = _ClassScan(module, stmt)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name) and target.id == "__twin_of__":
-                        pairs = _string_pairs(stmt.value)
-                        if pairs is not None:
-                            for local, counterpart in pairs:
-                                self.twins[local] = (counterpart, stmt.lineno)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -563,7 +533,6 @@ class _Builder:
                 module=scan.module,
                 path=scan.display,
                 package=scan.package,
-                twins=dict(scan.twins),
             )
             project.path_modules[scan.display] = scan.module
         # Classes first (method tables + resolved bases + attribute types),
@@ -794,7 +763,6 @@ class _FunctionExtractor:
             return
         base, attr = resolved
         base_cls = self._receiver_class(base.split(".")) or ""
-        self.summary.effects.append(("write", attr))
         self.summary.writes.append(
             WriteRecord(
                 attr=attr,
@@ -899,9 +867,7 @@ class _FunctionExtractor:
         if len(parts) == 1:
             alias = self.aliases.get(terminal)
             if alias is not None:
-                # Calling through a local bound-method alias: the effect
-                # token is the attribute the alias captured.
-                self.summary.effects.append(("call", alias[1]))
+                # Calling through a local bound-method alias.
                 receiver_cls = self._receiver_class(alias[0].split("."))
                 if receiver_cls is not None:
                     self._add_edges(
@@ -913,7 +879,6 @@ class _FunctionExtractor:
                     )
                 self._record_source_call(node, parts)
                 return
-        self.summary.effects.append(("call", terminal))
         self._record_source_call(node, parts)
         builder = self.builder
         module = self.scan.module

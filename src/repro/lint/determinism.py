@@ -24,13 +24,12 @@ these rules ban the constructs that silently break it:
   non-event heaps (the cache credit heaps) carry their own seq tie-break
   and say so with a documented suppression.
 * ``event-queue`` — reaching into another object's event-queue internals
-  (``engine._queue``, ``engine._nowq``, ``engine._cal``) bypasses the
-  sequence counter and the same-instant staging discipline entirely:
-  an entry inserted behind the engine's back carries no fresh seq, so
-  ties resolve arbitrarily and the heap/calendar cross-check breaks.
-  Only :mod:`repro.sim.engine` and :mod:`repro.sim.calendar` may touch
-  these (their own accesses are ``self.``-rooted and exempt); everyone
-  else schedules through ``Engine.schedule``/``schedule_at``.
+  (``engine._queue``, ``engine._nowq``) bypasses the sequence counter
+  and the same-instant staging discipline entirely: an entry inserted
+  behind the engine's back carries no fresh seq, so ties resolve
+  arbitrarily.  Only :mod:`repro.sim.engine` may touch these (its own
+  accesses are ``self.``-rooted and exempt); everyone else schedules
+  through ``Engine.schedule``/``schedule_at``.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ RULES: Tuple[str, ...] = (
     "event-queue",
 )
 
-#: Engine event-queue internals owned by repro.sim.engine/calendar.
+#: Engine event-queue internals owned by repro.sim.engine.
 #: Accessing them through any expression other than ``self`` means some
 #: outside code is manipulating an engine's queue directly.
-_EVENT_QUEUE_ATTRS = frozenset({"_queue", "_nowq", "_cal"})
+_EVENT_QUEUE_ATTRS = frozenset({"_queue", "_nowq"})
 
 _TIME_FUNCTIONS = frozenset(
     {
@@ -267,11 +266,11 @@ def _check_one_iteration(ctx: FileContext, node: ast.AST, set_names: Set[str]) -
 
 
 def _check_event_queue(ctx: FileContext) -> None:
-    """Flag ``<expr>._queue`` / ``._nowq`` / ``._cal`` where the base
-    expression is anything but ``self``.  A class's *own* attribute of
-    the same name is a different namespace (e.g. a worker's thread-safe
-    ``self._queue``), so self-rooted accesses stay clean; the engine and
-    calendar modules themselves only ever use self-rooted access."""
+    """Flag ``<expr>._queue`` / ``._nowq`` where the base expression is
+    anything but ``self``.  A class's *own* attribute of the same name
+    is a different namespace (e.g. a worker's thread-safe
+    ``self._queue``), so self-rooted accesses stay clean; the engine
+    module itself only ever uses self-rooted access."""
     for node in ast.walk(ctx.tree):
         if (
             isinstance(node, ast.Attribute)

@@ -3,12 +3,14 @@
 :class:`SimTracer` is the simulator's bridge into :mod:`repro.obs.span`.
 It follows the invariant sanitizer's pattern from
 :mod:`repro.sim.sanitize`: the tracer is attached from the outside
-(``FrontEnd.tracer``), the hot path branches into separate *traced*
-generators only when it is present, and the traced generators replay the
-untraced state mutations exactly — so a traced run produces
-byte-identical :class:`~repro.cluster.simulator.SimulationResult` output
-to an untraced one, and an unhooked run pays nothing (the
-``scripts/bench_perf.py --check`` gate holds).
+(``FrontEnd.tracer``) and the request lifecycle
+(:mod:`repro.cluster.fastpath`) calls it from its stages — ``begin``
+when a request starts, ``finish`` when it completes, ``lost`` when the
+fault model abandons it.  The tracer only reads cluster state and
+schedules no events, so a traced run produces byte-identical
+:class:`~repro.cluster.simulator.SimulationResult` output to an
+untraced one, and a detached tracer costs one ``None`` check per
+stage.
 
 Sampling is **completion-driven**, generalizing the front-end's
 completions-only ``timeline``: rather than scheduling engine events

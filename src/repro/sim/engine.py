@@ -37,28 +37,15 @@ Example
 from __future__ import annotations
 
 import heapq  # lardlint: disable-file=raw-heapq -- this IS the engine: every push carries the (time, seq) tie-break the rule exists to enforce
-import os
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from .calendar import CalendarQueue
-
 __all__ = ["Engine", "Process", "Delay", "SimulationError"]
 
-# Audited by lardlint's twin-drift pass: both alternate run loops must
-# keep the same engine-state effect skeleton as Engine.run.
-__twin_of__ = {
-    "Engine._run_sanitized": "repro.sim.engine.Engine.run",
-    "Engine._run_calendar": "repro.sim.engine.Engine.run",
-}
-
 _EMPTY_ARGS: Tuple[Any, ...] = ()
-
-#: Recognized event-queue implementations (``Engine(queue=...)`` /
-#: ``REPRO_ENGINE_QUEUE``).  Both dispatch in identical ``(time, seq)``
-#: order; the heap is the default because CPython's C ``heapq`` wins at
-#: the queue depths cluster simulations reach.
-QUEUE_KINDS = ("heap", "calendar")
+_INF = float("inf")
+# Bound once: schedule() pushes on every call.
+_heappush = heapq.heappush
 
 
 class SimulationError(RuntimeError):
@@ -157,21 +144,10 @@ class Engine:
     deadline.
     """
 
-    def __init__(self, queue: Optional[str] = None) -> None:
-        if queue is None:
-            queue = os.environ.get(  # lardlint: disable=transitive-nondeterminism -- config-time queue selection; both queues are cross-checked byte-identical in CI
-                "REPRO_ENGINE_QUEUE", "heap"
-            )
-        if queue not in QUEUE_KINDS:
-            raise SimulationError(
-                f"unknown event queue {queue!r}: expected one of {QUEUE_KINDS}"
-            )
-        #: Which event-queue implementation this engine dispatches from
-        #: ("heap" or "calendar"); fixed at construction.
-        self.queue_kind = queue
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = []
-        # Same-instant staging FIFO (heap mode only).  An event scheduled
+        # Same-instant staging FIFO.  An event scheduled
         # for the *current* clock reading necessarily sorts after every
         # queued event with an earlier time and after every same-time
         # event already in the heap (those were pushed at an earlier
@@ -185,18 +161,10 @@ class Engine:
         self._nowq: Deque[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = (
             deque()
         )
-        # The calendar scheduler, when selected.  Scheduling methods
-        # branch on this being None; the heap hot loops below are only
-        # entered when it is.
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if queue == "calendar" else None
-        )
         self._seq = 0
         self._stopped = False
         self.events_dispatched = 0
         # Optional per-event invariant hook (see repro.sim.sanitize).
-        # Kept as a separate run loop so the unsanitized hot path pays
-        # nothing — not even a None check per event.
         self._sanitizer: Optional[Callable[[float, Callable[..., None]], None]] = None
 
     # -- scheduling ---------------------------------------------------------
@@ -205,19 +173,16 @@ class Engine:
         """Run ``callback(*args)`` after ``delay`` simulated time units."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         now = self.now
         when = now + delay
-        if self._cal is None:
-            # Route on the *computed* event time, not on ``delay == 0``:
-            # a subnormal delay can round ``now + delay`` back to ``now``,
-            # and such an event must keep FIFO order with the staged ones.
-            if when > now:
-                heapq.heappush(self._queue, (when, self._seq, callback, args))
-            else:
-                self._nowq.append((when, self._seq, callback, args))
+        # Route on the *computed* event time, not on ``delay == 0``: a
+        # subnormal delay can round ``now + delay`` back to ``now``, and
+        # such an event must keep FIFO order with the staged ones.
+        if when > now:
+            _heappush(self._queue, (when, seq, callback, args))
         else:
-            self._cal.push((when, self._seq, callback, args))
+            self._nowq.append((when, seq, callback, args))
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute simulated time ``when``.
@@ -232,13 +197,10 @@ class Engine:
                 f"cannot schedule into the past (when={when}, now={self.now})"
             )
         self._seq += 1
-        if self._cal is None:
-            if when > self.now:
-                heapq.heappush(self._queue, (when, self._seq, callback, args))
-            else:
-                self._nowq.append((when, self._seq, callback, args))
+        if when > self.now:
+            heapq.heappush(self._queue, (when, self._seq, callback, args))
         else:
-            self._cal.push((when, self._seq, callback, args))
+            self._nowq.append((when, self._seq, callback, args))
 
     def process(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         """Register a generator as a process, starting it at the current time."""
@@ -246,10 +208,7 @@ class Engine:
         # Start the process via the event queue (not synchronously) so that
         # creation order and execution order are both deterministic.
         self._seq += 1
-        if self._cal is None:
-            self._nowq.append((self.now, self._seq, proc._resume, _EMPTY_ARGS))
-        else:
-            self._cal.push((self.now, self._seq, proc._resume, _EMPTY_ARGS))
+        self._nowq.append((self.now, self._seq, proc._resume, _EMPTY_ARGS))
         return proc
 
     # -- execution ----------------------------------------------------------
@@ -261,69 +220,63 @@ class Engine:
         scheduled after it are left in the queue and the clock is advanced
         exactly to ``until``.
         """
-        if self._cal is not None:
-            return self._run_calendar(until)
         self._flush_nowq()
-        if self._sanitizer is not None:
-            return self._run_sanitized(until)
+        limit = _INF if until is None else until
+        hook = self._sanitizer
         self._stopped = False
         queue = self._queue
         nowq = self._nowq
+        if nowq and nowq[0][0] > limit:
+            # Only a rewinding ``until`` can land here: from now on every
+            # staged event carries the time of the event that staged it,
+            # which was within the bound.
+            self.now = limit
+            return limit
         pop = heapq.heappop
-        dispatched = 0
+        # Every schedule call adds one entry under a fresh seq and every
+        # dispatch removes one, so the events this run dispatched are
+        # the seqs it issued minus the growth of the queue — counted
+        # once at the end instead of once per event.
+        issued_before = self._seq - len(queue) - len(nowq)
         try:
-            if until is None:
-                # Hot loop: no bound checks — schedule/schedule_at
-                # guarantee event times are never in the past.  Staged
-                # same-instant events dispatch after any equal-time heap
-                # entry (the heap entry's seq is necessarily smaller).
-                # Most events carry no args (the flattened request path
-                # binds its state into the callback), and a plain call is
-                # measurably cheaper than a star-call on an empty tuple.
-                while not self._stopped:
-                    if nowq:
-                        if queue and queue[0][0] <= nowq[0][0]:
-                            when, _seq, callback, args = pop(queue)
-                        else:
-                            when, _seq, callback, args = nowq.popleft()
-                    elif queue:
-                        when, _seq, callback, args = pop(queue)
-                    else:
-                        break
-                    self.now = when
-                    dispatched += 1
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                return self.now
+            # schedule/schedule_at guarantee event times are never in the
+            # past, so the only bound to check is ``until``, and only heap
+            # entries can exceed it.  Staged same-instant events dispatch
+            # after any equal-time heap entry (the heap entry's seq is
+            # necessarily smaller).
             while not self._stopped:
                 if nowq:
-                    if nowq[0][0] > until:
-                        self.now = until
-                        return self.now
                     if queue and queue[0][0] <= nowq[0][0]:
                         when, _seq, callback, args = pop(queue)
                     else:
                         when, _seq, callback, args = nowq.popleft()
                 elif queue:
-                    if queue[0][0] > until:
-                        self.now = until
-                        return self.now
                     when, _seq, callback, args = pop(queue)
+                    if when > limit:
+                        # Put it back: the same (time, seq) key keeps
+                        # its place in the dispatch order.
+                        _heappush(queue, (when, _seq, callback, args))
+                        self.now = limit
+                        return limit
                 else:
                     break
                 self.now = when
-                dispatched += 1
+                # Most events carry no args (the request lifecycle binds
+                # its state into the callback), and a plain call is
+                # measurably cheaper than a star-call on an empty tuple.
                 if args:
                     callback(*args)
                 else:
                     callback()
-            if self.now < until and not self._stopped:
+                if hook is not None:
+                    hook(when, callback)
+            if until is not None and self.now < until and not self._stopped:
                 self.now = until
             return self.now
         finally:
-            self.events_dispatched += dispatched
+            self.events_dispatched += (
+                self._seq - len(queue) - len(nowq) - issued_before
+            )
 
     def _flush_nowq(self) -> None:
         """Re-heap staged same-instant events whose instant has passed.
@@ -348,83 +301,10 @@ class Engine:
     ) -> None:
         """Invoke ``hook(event_time, callback)`` after every dispatched event.
 
-        Installing a hook switches :meth:`run` to a separate checked loop,
-        so simulations without a sanitizer keep the unchecked hot path.
-        Pass ``None`` to uninstall.
+        Pass ``None`` to uninstall.  Without a hook the run loop pays one
+        ``None`` check per event.
         """
         self._sanitizer = hook
-
-    def _run_sanitized(self, until: Optional[float]) -> float:
-        """The :meth:`run` loop with the invariant hook in the dispatch path."""
-        hook = self._sanitizer
-        if hook is None:  # pragma: no cover - run() guards this
-            raise SimulationError("no sanitizer installed")
-        self._stopped = False
-        queue = self._queue
-        nowq = self._nowq
-        pop = heapq.heappop
-        dispatched = 0
-        try:
-            while not self._stopped:
-                if nowq:
-                    if until is not None and nowq[0][0] > until:
-                        self.now = until
-                        return self.now
-                    if queue and queue[0][0] <= nowq[0][0]:
-                        when, _seq, callback, args = pop(queue)
-                    else:
-                        when, _seq, callback, args = nowq.popleft()
-                elif queue:
-                    if until is not None and queue[0][0] > until:
-                        self.now = until
-                        return self.now
-                    when, _seq, callback, args = pop(queue)
-                else:
-                    break
-                self.now = when
-                dispatched += 1
-                callback(*args)
-                hook(when, callback)
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-            return self.now
-        finally:
-            self.events_dispatched += dispatched
-
-    def _run_calendar(self, until: Optional[float]) -> float:
-        """The :meth:`run` loop over the calendar queue.
-
-        One loop serves both plain and sanitized runs: the calendar
-        scheduler is the correctness-checked alternate, not the perf
-        default, so it does not warrant the heap's specialized loops.
-        An event past ``until`` is pushed back rather than peeked —
-        re-inserting the same ``(time, seq)`` entry preserves order.
-        """
-        cal = self._cal
-        if cal is None:  # pragma: no cover - run() guards this
-            raise SimulationError("no calendar queue installed")
-        hook = self._sanitizer
-        self._stopped = False
-        dispatched = 0
-        try:
-            while len(cal) and not self._stopped:
-                entry = cal.pop()
-                when = entry[0]
-                if until is not None and when > until:
-                    cal.push(entry)
-                    self.now = until
-                    return self.now
-                self.now = when
-                dispatched += 1
-                callback = entry[2]
-                callback(*entry[3])
-                if hook is not None:
-                    hook(when, callback)
-            if until is not None and self.now < until and not self._stopped:
-                self.now = until
-            return self.now
-        finally:
-            self.events_dispatched += dispatched
 
     def stop(self) -> None:
         """Halt :meth:`run` after the currently dispatching event returns."""
@@ -433,8 +313,6 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of events still queued."""
-        if self._cal is not None:
-            return len(self._cal)
         return len(self._queue) + len(self._nowq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -50,8 +50,8 @@ class Resource:
         self._busy = 0
         # Waiters are stored as their *resume callables*, not process
         # objects: generator processes enqueue ``process._resume`` and
-        # the flattened fast path (repro.cluster.fastpath) enqueues its
-        # per-stage bound callbacks, so one queue serves both styles.
+        # the cluster's request lifecycle (repro.cluster.fastpath)
+        # enqueues its per-stage bound callbacks.
         self._waiting: Deque[Tuple[Callable[..., None], Optional[float]]] = deque()
         # Utilization accounting: integral of (busy servers) dt.
         self._busy_integral = 0.0
@@ -205,8 +205,8 @@ class SimEvent:
         self.triggered = False
         self.value: Any = None
         # Resume callables (see Resource._waiting): a generator waiter
-        # registers ``process._resume``, a fast-path connection its
-        # coalesced-wakeup callback.
+        # registers ``process._resume``, a request-lifecycle connection
+        # its coalesced-wakeup callback.
         self._waiters: List[Callable[..., None]] = []
 
     def trigger(self, value: Any = None) -> None:

@@ -158,7 +158,7 @@ class Trace:
     def transmit_units(self, unit_bytes: int = 512) -> List[int]:
         """Per-target size in ``unit_bytes`` blocks (rounded up), memoized.
 
-        This is the cost-parameter array the fast request path consumes:
+        This is the cost-parameter array the request lifecycle consumes:
         CPU transmit time for target ``t`` is ``units[t] *
         seconds_per_unit``, so the per-request integer division is
         precomputed for the whole catalog in one vectorized pass.
@@ -183,9 +183,8 @@ class Trace:
         Returns ``None`` when the catalog is all-static (no cost table,
         or every cost is zero) so callers can branch once per run instead
         of once per request.  The memoized list is a single shared object
-        per trace: every backend node of one simulation (and the fast
-        path) hold the *same* list, which is what the fast-path
-        eligibility gate's identity check relies on.
+        per trace: every backend node of one simulation holds the *same*
+        list.
         """
         if self.cpu_cost_s_by_target is None:
             return None

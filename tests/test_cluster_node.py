@@ -1,11 +1,22 @@
-"""Unit tests for the back-end node model."""
+"""Unit tests for the back-end node model.
+
+Requests reach a node the way they do in a cluster run: through a front
+end and the request lifecycle (``repro.cluster.fastpath``).  ``_serve``
+builds a one-request trace and a front end whose policy pins the request
+to the given node, so several ``_serve`` calls before ``engine.run()``
+are concurrent requests, admitted in call order.
+"""
 
 import pytest
 
 from repro.cache import GDSCache, GlobalMemorySystem
 from repro.cluster import CostModel
+from repro.cluster.frontend import FrontEnd
+from repro.cluster.metrics import LoadTracker
 from repro.cluster.node import BackendNode
+from repro.core.base import Policy
 from repro.sim import Engine
+from repro.workload import Trace
 
 
 def _node(engine, cache_bytes=10**6, num_disks=1, **kw):
@@ -14,16 +25,43 @@ def _node(engine, cache_bytes=10**6, num_disks=1, **kw):
     )
 
 
+class _Pinned(Policy):
+    """Sends every request to one node; optionally dictates hit/miss the
+    way LB/GC's front-end cache model does."""
+
+    name = "pinned"
+
+    def __init__(self, num_nodes, node_id, hit_hint=None):
+        super().__init__(num_nodes)
+        self._node_id = node_id
+        if hit_hint is not None:
+            self.take_prediction = lambda: hit_hint
+
+    def choose(self, target, size, now=0.0):
+        return self._node_id
+
+
 def _serve(engine, node, target, size, hit_hint=None):
-    return engine.process(node.serve(target, size, hit_hint=hit_hint))
+    """Admit one request for ``target`` (``size`` bytes) to ``node``."""
+    nodes = list(node.peers) or [node]
+    trace = Trace([target], [size] * (target + 1))
+    frontend = FrontEnd(
+        engine,
+        _Pinned(len(nodes), node.node_id, hit_hint),
+        nodes,
+        trace,
+        LoadTracker(len(nodes), threshold=1.0),
+    )
+    frontend.start()
+    return frontend
 
 
 class TestTiming:
     def test_cached_request_time_matches_cost_model(self):
         engine = Engine()
         node = _node(engine)
-        node.cache.access("a", 8192)  # pre-warm
-        _serve(engine, node, "a", 8192)
+        node.cache.access(0, 8192)  # pre-warm
+        _serve(engine, node, 0, 8192)
         end = engine.run()
         assert end == pytest.approx(CostModel().cached_request_time(8192))
         assert node.cache_hits == 1
@@ -31,7 +69,7 @@ class TestTiming:
     def test_miss_includes_disk_time(self):
         engine = Engine()
         node = _node(engine)
-        _serve(engine, node, "a", 4096)
+        _serve(engine, node, 0, 4096)
         end = engine.run()
         model = CostModel()
         expected = model.cached_request_time(4096) + model.disk_read_time(4096)
@@ -43,7 +81,7 @@ class TestTiming:
         engine = Engine()
         node = _node(engine)
         size = 100 * 1024
-        _serve(engine, node, "big", size)
+        _serve(engine, node, 0, size)
         end = engine.run()
         model = CostModel()
         expected = (
@@ -61,7 +99,7 @@ class TestCoalescing:
         engine = Engine()
         node = _node(engine)
         for _ in range(5):
-            _serve(engine, node, "same", 8192)
+            _serve(engine, node, 0, 8192)
         engine.run()
         assert node.disk_reads == 1
         assert node.coalesced_reads == 4
@@ -72,7 +110,7 @@ class TestCoalescing:
         engine = Engine()
         node = _node(engine, coalesce_reads=False)
         for _ in range(3):
-            _serve(engine, node, "same", 8192)
+            _serve(engine, node, 0, 8192)
         engine.run()
         assert node.disk_reads == 3
         assert node.coalesced_reads == 0
@@ -80,17 +118,17 @@ class TestCoalescing:
     def test_waiters_complete_after_read(self):
         engine = Engine()
         node = _node(engine)
-        _serve(engine, node, "same", 8192)
-        _serve(engine, node, "same", 8192)
+        _serve(engine, node, 0, 8192)
+        _serve(engine, node, 0, 8192)
         engine.run()
         assert node.requests_served == 2
 
     def test_sequential_requests_second_hits(self):
         engine = Engine()
         node = _node(engine)
-        _serve(engine, node, "a", 4096)
+        _serve(engine, node, 0, 4096)
         engine.run()
-        _serve(engine, node, "a", 4096)
+        _serve(engine, node, 0, 4096)
         engine.run()
         assert node.cache_hits == 1
         assert node.disk_reads == 1
@@ -129,7 +167,7 @@ class TestHintedMode:
     def test_hit_hint_serves_from_memory(self):
         engine = Engine()
         node = _node(engine)
-        _serve(engine, node, "a", 4096, hit_hint=True)
+        _serve(engine, node, 0, 4096, hit_hint=True)
         end = engine.run()
         assert end == pytest.approx(CostModel().cached_request_time(4096))
         assert node.cache_hits == 1
@@ -138,7 +176,7 @@ class TestHintedMode:
     def test_miss_hint_reads_disk(self):
         engine = Engine()
         node = _node(engine)
-        _serve(engine, node, "a", 4096, hit_hint=False)
+        _serve(engine, node, 0, 4096, hit_hint=False)
         engine.run()
         assert node.cache_misses == 1
         assert node.disk_reads == 1
@@ -146,8 +184,8 @@ class TestHintedMode:
     def test_miss_hints_coalesce(self):
         engine = Engine()
         node = _node(engine)
-        _serve(engine, node, "a", 4096, hit_hint=False)
-        _serve(engine, node, "a", 4096, hit_hint=False)
+        _serve(engine, node, 0, 4096, hit_hint=False)
+        _serve(engine, node, 0, 4096, hit_hint=False)
         engine.run()
         assert node.disk_reads == 1
         assert node.coalesced_reads == 1
@@ -163,10 +201,10 @@ class TestGMSMode:
         ]
         for node in nodes:
             node.peers = nodes
-        engine.process(nodes[0].serve("a", 4096))
+        _serve(engine, nodes[0], 0, 4096)
         engine.run()
         holder_busy_before = nodes[0].cpu.busy_time()
-        engine.process(nodes[1].serve("a", 4096))
+        _serve(engine, nodes[1], 0, 4096)
         engine.run()
         assert nodes[1].gms_remote_hits == 1
         # Holder's CPU did the fetch work.
@@ -177,7 +215,7 @@ class TestGMSMode:
         gms = GlobalMemorySystem(1, 10**6)
         node = BackendNode(engine, 0, CostModel(), None, gms=gms)
         node.peers = [node]
-        engine.process(node.serve("a", 4096))
+        _serve(engine, node, 0, 4096)
         engine.run()
         assert node.disk_reads == 1
 
@@ -198,8 +236,8 @@ class TestGMSMode:
 def test_counters_and_bytes():
     engine = Engine()
     node = _node(engine)
-    _serve(engine, node, "a", 1000)
-    _serve(engine, node, "b", 2000)
+    _serve(engine, node, 0, 1000)
+    _serve(engine, node, 1, 2000)
     engine.run()
     assert node.requests_served == 2
     assert node.bytes_served == 3000

@@ -1,37 +1,30 @@
-"""Byte-identity: the flattened fast path vs the generator twins.
+"""Byte-identity of the paper-configuration matrix, against frozen goldens.
 
-``repro.cluster.fastpath`` replays the request lifecycle as an explicit
-state machine; its contract is that every simulation output — counters,
-delays, busy-time integrals, per-node series — is *equal*, not merely
-close, to the generator path's.  These tests run the same simulation
-under ``REPRO_SIM_FASTPATH=1`` and ``=0`` (and under both event-queue
-implementations) and compare entire result dataclasses.
+The request lifecycle (``repro.cluster.fastpath``) once ran next to a
+coroutine reference implementation, and these configurations compared
+the two.  The reference is gone; the digests it produced live in
+``tests/golden/lifecycle.json``, and every simulation output — counters,
+delays, busy-time integrals, per-node series — must still match them
+exactly, here through the public ``run_simulation`` entry point.
 """
 
-import dataclasses
+import json
 
 import pytest
 
 from repro.cluster import run_simulation
-from repro.workload.synthetic import synthesize_trace
+from repro.cluster.simulator import ClusterConfig, ClusterSimulator
+from tests.test_lifecycle_golden import GOLDEN, _trace, result_digest
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return synthesize_trace(
-        num_requests=3000,
-        num_targets=400,
-        total_bytes=64 * 2**20,
-        zipf_alpha=1.0,
-        seed=11,
-    )
+    return _trace("synth")
 
 
-def _run(trace, monkeypatch, fastpath, queue="heap", **kwargs):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fastpath else "0")
-    monkeypatch.setenv("REPRO_ENGINE_QUEUE", queue)
-    result = run_simulation(trace, **kwargs)
-    return dataclasses.asdict(result)
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
 
 
 _CONFIGS = [
@@ -48,8 +41,8 @@ _CONFIGS = [
         membership_events=((0.5, "fail", 1), (1.5, "join", 1)),
     ),
     # Policy-zoo strategies: the seeded-RNG contract (entropy consumed
-    # only inside choose, once per admitted request) must keep the
-    # flattened fast path byte-identical to the generator twin.
+    # only inside choose, once per admitted request) keeps them
+    # byte-identical.
     dict(policy="chash", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="pod", num_nodes=4, node_cache_bytes=2**19),
     dict(policy="pod/lc", num_nodes=4, node_cache_bytes=2**19),
@@ -68,48 +61,42 @@ _CONFIGS = [
     ),
 ]
 
+#: The golden-file entry recorded for each configuration above.
+_GOLDEN_KEYS = [
+    "lard",
+    "lard-r",
+    "wrr",
+    "lb-gc",
+    "lard-r-3disks",
+    "lard-nocoalesce",
+    "lard-r-membership",
+    "chash",
+    "pod",
+    "pod-lc",
+    "pod-lc-seed7",
+    "chash-weighted",
+    "pod-membership",
+]
+
 
 @pytest.mark.parametrize(
     "config", _CONFIGS, ids=lambda c: "-".join(str(v) for v in c.values())
 )
-def test_fastpath_matches_generator_path(trace, monkeypatch, config):
-    fast = _run(trace, monkeypatch, fastpath=True, **config)
-    slow = _run(trace, monkeypatch, fastpath=False, **config)
-    assert fast == slow
+def test_fastpath_matches_generator_path(trace, golden, config):
+    """The result digest equals the one the generator reference
+    implementation recorded for this configuration."""
+    key = _GOLDEN_KEYS[_CONFIGS.index(config)]
+    assert result_digest(run_simulation(trace, **config)) == golden[key]["result"]
 
 
-def test_fastpath_matches_on_calendar_queue(trace, monkeypatch):
-    config = dict(policy="lard/r", num_nodes=4, node_cache_bytes=2**19)
-    runs = {
-        (fp, q): _run(trace, monkeypatch, fastpath=fp, queue=q, **config)
-        for fp in (True, False)
-        for q in ("heap", "calendar")
-    }
-    reference = runs[(True, "heap")]
-    for key, result in runs.items():
-        assert result == reference, f"diverged under {key}"
-
-
-def test_fastpath_is_actually_selected(trace, monkeypatch):
-    """Guard against the fast path silently disabling itself: the
-    eligibility conditions in FrontEnd must hold for the paper's
-    standard configuration."""
-    from repro.cluster.simulator import ClusterConfig, ClusterSimulator
-
-    monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
+def test_fastpath_is_actually_selected(trace):
+    """Guard against the inline per-request path silently turning off:
+    the paper's standard configuration (one request per connection, no
+    tracer, no fault runtime) must run every connection on it."""
     sim = ClusterSimulator(
         trace,
         ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
     )
-    assert sim.frontend._fastpath is not None
-
-
-def test_fastpath_disabled_by_env(trace, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-    from repro.cluster.simulator import ClusterConfig, ClusterSimulator
-
-    sim = ClusterSimulator(
-        trace,
-        ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
-    )
-    assert sim.frontend._fastpath is None
+    sim.run()
+    pool = sim.frontend._fastpath.pool
+    assert pool and not any(conn.general for conn in pool)

@@ -184,6 +184,38 @@ def test_golden_file_covers_the_matrix(golden):
     assert sorted(golden) == sorted(_KEYS)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(policy="lard/r", **_SMALL),
+        dict(policy="lard/r", requests_per_connection=4, persistent_policy="rehandoff", **_SMALL),
+    ],
+    ids=["single", "rehandoff"],
+)
+def test_observers_schedule_no_events(overrides):
+    """The observer contract: a tracer, the sanitizer and an (empty)
+    fault runtime only watch the lifecycle.  Each variant produces the
+    plain run's result and dispatches exactly its events."""
+    from repro.cluster.faults import FaultSchedule
+    from repro.obs import SpanWriter
+    from repro.obs.tracer import SimTracer
+
+    trace = _trace("synth")
+
+    def run(tracer=None, **extra):
+        sim = ClusterSimulator(trace, ClusterConfig(**overrides, **extra), tracer=tracer)
+        return dataclasses.asdict(sim.run()), sim.engine.events_dispatched
+
+    plain = run()
+    with SpanWriter(io.StringIO(), source="sim") as writer:
+        traced = run(tracer=SimTracer(writer, sample_interval_s=0.5))
+    sanitized = run(sanitize=True)
+    faulted = run(fault_schedule=FaultSchedule())
+    assert traced == plain
+    assert sanitized == plain
+    assert faulted == plain
+
+
 def test_fault_entries_exercise_every_fault_feature():
     """The chaos entries must keep covering what they claim to: crashes
     rejoining cold, warm and aged, and brownouts."""

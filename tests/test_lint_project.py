@@ -5,18 +5,12 @@ fixture" but "fires on the *tree* when someone makes the exact mistake
 the pass exists for".  Each test copies ``src/repro`` to a temp dir,
 applies one realistic mutation, and asserts the matching rule fires:
 
-* deleting an effect from a fastpath stage  -> ``twin-drift``
 * a transitive ``time.time()`` below ``Engine.run``
                                             -> ``transitive-nondeterminism``
 * removing a lock acquisition around a declared helper call
                                             -> ``unverified-locked-helper``
-
-A final test pins the twin audit's teeth: every declared pair on the
-real tree must resolve and compare *non-empty* effect skeletons, so the
-clean lint run can never be an accident of vacuous ∅ == ∅ comparisons.
 """
 
-import ast
 import shutil
 from pathlib import Path
 
@@ -24,8 +18,6 @@ import pytest
 
 import repro
 from repro.lint import lint_paths
-from repro.lint import callgraph
-from repro.lint.twins import _closure_effects
 
 REPRO_PACKAGE = Path(repro.__file__).resolve().parent
 
@@ -51,19 +43,6 @@ def test_unmutated_tree_copy_is_clean(tree_copy):
     assert lint_paths([tree_copy]) == []
 
 
-def test_deleting_a_fastpath_effect_yields_twin_drift(tree_copy):
-    _mutate(
-        tree_copy,
-        "cluster/fastpath.py",
-        "node.disk_reads += 1",
-        "pass",
-    )
-    findings = lint_paths([tree_copy])
-    drift = [f for f in findings if f.rule == "twin-drift"]
-    assert drift, f"expected twin-drift, got {[f.rule for f in findings]}"
-    assert any("disk_reads" in f.message for f in drift)
-
-
 def test_transitive_wall_clock_below_engine_run_is_flagged_with_chain(tree_copy):
     _mutate(
         tree_copy,
@@ -81,9 +60,10 @@ def test_transitive_wall_clock_below_engine_run_is_flagged_with_chain(tree_copy)
     _mutate(
         tree_copy,
         "sim/engine.py",
-        "        if self._cal is not None:\n            return self._run_calendar(until)",
+        "        self._flush_nowq()\n        limit = _INF if until is None else until",
+        "        self._flush_nowq()\n"
         "        _tick_hook()\n"
-        "        if self._cal is not None:\n            return self._run_calendar(until)",
+        "        limit = _INF if until is None else until",
     )
     findings = lint_paths([tree_copy])
     taint = [f for f in findings if f.rule == "transitive-nondeterminism"]
@@ -109,23 +89,3 @@ def test_removing_lock_around_declared_helper_is_flagged(tree_copy):
     findings = lint_paths([tree_copy])
     rules = [f.rule for f in findings]
     assert "unverified-locked-helper" in rules, f"got {rules}"
-
-
-def test_tree_twin_pairs_resolve_with_nonempty_identical_skeletons():
-    units = []
-    for path in sorted(REPRO_PACKAGE.rglob("*.py")):
-        units.append((path, str(path), ast.parse(path.read_text(encoding="utf-8"))))
-    project = callgraph.build_project(units, "test")
-    pairs = 0
-    for module in project.modules.values():
-        for local, (target, _line) in module.twins.items():
-            root = f"{module.module}.{local}"
-            assert root in project.functions, root
-            assert target in project.functions, target
-            ours = _closure_effects(project, root, target)
-            theirs = _closure_effects(project, target, root)
-            assert ours, f"vacuous (empty) skeleton for {root}"
-            assert ours == theirs, f"{root} drifted from {target}"
-            pairs += 1
-    # fastpath (2) + traced/faulty admission (4) + serve (1) + engine (2)
-    assert pairs >= 9

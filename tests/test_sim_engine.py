@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.sim import Delay, Engine, SimulationError
 
@@ -255,3 +257,122 @@ class TestScheduleAt:
             return log
 
         assert build() == build()
+
+
+# -- the run loop: until windows and stop/resume --------------------------------
+#
+# A schedule program is a list of instructions, one per event label.  When
+# event ``i`` fires it schedules the children listed in ``program[i]``;
+# child indices always point *forward* so the recursion terminates.  Each
+# child is (index, mode, delay): mode "rel" uses schedule(delay), "abs"
+# uses schedule_at(now + delay), and "at-now" uses schedule_at(now).
+_delays = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.75])
+_modes = st.sampled_from(["rel", "abs", "at-now"])
+
+
+@st.composite
+def _programs(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    program = []
+    for i in range(n):
+        children = draw(
+            st.lists(
+                st.tuples(st.integers(i + 1, max(i + 1, n - 1)), _modes, _delays),
+                min_size=0,
+                max_size=3,
+            )
+        )
+        if i >= n - 1:
+            children = []  # the last label cannot have forward children
+        program.append(children)
+    roots = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), _delays), min_size=1, max_size=6)
+    )
+    return program, roots
+
+
+def _execute(program, roots, stop_at=None, until_steps=()):
+    """Run ``program`` on a fresh engine; return its (label, time) log."""
+    engine = Engine()
+    log = []
+
+    def fire(label):
+        log.append((label, engine.now))
+        if stop_at is not None and len(log) == stop_at:
+            engine.stop()
+        for child, mode, delay in program[label]:
+            if mode == "rel":
+                engine.schedule(delay, fire, child)
+            elif mode == "abs":
+                engine.schedule_at(engine.now + delay, fire, child)
+            else:
+                engine.schedule_at(engine.now, fire, child)
+
+    for label, delay in roots:
+        engine.schedule(delay, fire, label)
+    for until in until_steps:
+        engine.run(until=until)
+    engine.run()
+    if stop_at is not None:
+        engine.run()  # resume after the stop
+    return log
+
+
+@given(_programs())
+@settings(max_examples=120, deadline=None)
+def test_dispatch_never_moves_time_backwards(prog):
+    times = [t for _, t in _execute(*prog)]
+    assert times == sorted(times)
+
+
+@given(_programs())
+@settings(max_examples=80, deadline=None)
+def test_stop_and_resume_matches_an_uninterrupted_run(prog):
+    """stop() mid-run halts after the current event; a fresh run()
+    resumes the identical remaining stream."""
+    assert _execute(*prog, stop_at=2) == _execute(*prog)
+
+
+@given(_programs(), st.lists(_delays, min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_until_windows_match_an_uninterrupted_run(prog, boundaries):
+    """run(until=...) windows, including boundaries that land exactly on
+    event times, dispatch the same stream as one uninterrupted run."""
+    assert _execute(*prog, until_steps=sorted(boundaries)) == _execute(*prog)
+
+
+def test_until_boundary_dispatches_events_at_exactly_until():
+    """An event scheduled exactly at ``until`` runs within that window,
+    and the clock parks exactly at ``until``."""
+    eng = Engine()
+    log = []
+    eng.schedule(1.0, log.append, "a")
+    eng.schedule(2.0, log.append, "b")
+    assert eng.run(until=1.0) == 1.0
+    assert log == ["a"]
+    assert eng.pending == 1
+
+
+def test_zero_delay_cascade_keeps_fifo_order():
+    """A chain of 0.0-delay events at one instant dispatches in insertion
+    order (the engine stages these in a same-instant FIFO)."""
+    eng = Engine()
+    log = []
+    for name in "abc":
+        eng.schedule(0.0, log.append, name)
+    eng.schedule(0.0, lambda: eng.schedule(0.0, log.append, "child"))
+    eng.run()
+    assert log == ["a", "b", "c", "child"]
+
+
+def test_hook_runs_after_every_event_and_schedules_nothing():
+    """The per-event hook sees each dispatched event once, after it ran."""
+    eng = Engine()
+    seen = []
+    log = []
+    eng.install_sanitizer(lambda when, callback: seen.append((when, len(log))))
+    eng.schedule(1.0, log.append, "a")
+    eng.schedule(2.0, log.append, "b")
+    assert eng.run() == 2.0
+    assert seen == [(1.0, 1), (2.0, 2)]
+    assert eng.events_dispatched == 2

@@ -3,11 +3,12 @@
 Covers the phase-structured generators in ``repro.workload.dynamic`` —
 determinism per seed, the phase structure each one promises — and the
 end-to-end dynamic-cost path: trace validation, persistence (format 2),
-cluster accounting, sanitizer coverage, and fastpath-vs-generator
-byte-identity on a CGI trace.
+cluster accounting, sanitizer coverage, and byte-identity with the
+golden digests on a CGI trace.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -292,8 +293,7 @@ def cgi_trace():
 
 
 class TestClusterDynamicRequests:
-    def test_dynamic_requests_counted_and_uncached(self, cgi_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
+    def test_dynamic_requests_counted_and_uncached(self, cgi_trace):
         result = run_simulation(
             cgi_trace, policy="lard", num_nodes=4, node_cache_bytes=2**19
         )
@@ -304,10 +304,9 @@ class TestClusterDynamicRequests:
             == result.num_requests
         )
 
-    def test_static_trace_has_zero_dynamic(self, monkeypatch):
+    def test_static_trace_has_zero_dynamic(self):
         from repro.workload.synthetic import synthesize_trace
 
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
         trace = synthesize_trace(
             num_requests=2000,
             num_targets=300,
@@ -331,26 +330,31 @@ class TestClusterDynamicRequests:
         ],
         ids=lambda c: c["policy"],
     )
-    def test_fastpath_byte_identity_on_cgi_trace(self, cgi_trace, monkeypatch, config):
-        runs = {}
-        for fastpath in (True, False):
-            monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fastpath else "0")
-            runs[fastpath] = dataclasses.asdict(run_simulation(cgi_trace, **config))
-        assert runs[True] == runs[False]
-        assert runs[True]["dynamic_requests"] > 0
+    def test_fastpath_byte_identity_on_cgi_trace(self, cgi_trace, config):
+        """The result matches the digest the generator reference
+        implementation recorded for this configuration."""
+        from tests.test_lifecycle_golden import GOLDEN, result_digest
 
-    def test_fastpath_still_selected_with_dynamic_table(self, cgi_trace, monkeypatch):
+        result = run_simulation(cgi_trace, **config)
+        golden = json.loads(GOLDEN.read_text())
+        key = "cgi-" + config["policy"].replace("/", "-")
+        assert result_digest(result) == golden[key]["result"]
+        assert dataclasses.asdict(result)["dynamic_requests"] > 0
+
+    def test_fastpath_still_selected_with_dynamic_table(self, cgi_trace):
+        """A dynamic-cost table keeps every connection on the inline
+        per-request path."""
         from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 
-        monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
         sim = ClusterSimulator(
             cgi_trace,
             ClusterConfig(policy="lard/r", num_nodes=4, node_cache_bytes=2**19),
         )
-        assert sim.frontend._fastpath is not None
+        sim.run()
+        pool = sim.frontend._fastpath.pool
+        assert pool and not any(conn.general for conn in pool)
 
-    def test_sanitized_run_matches_unsanitized(self, cgi_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
+    def test_sanitized_run_matches_unsanitized(self, cgi_trace):
         plain = dataclasses.asdict(
             run_simulation(cgi_trace, policy="lard", num_nodes=4,
                            node_cache_bytes=2**19)
