@@ -880,11 +880,7 @@ class FastConnection:
         if new_node == node_id and fp.epochs[node_id] == epoch:
             return
         # Move the connection: release the old node's slot, take the new.
-        if fp.epochs[node_id] == epoch:
-            fp.policy.on_complete(node_id)
-            fp.tracker.on_complete(node_id, now)
-        else:
-            fe.orphaned += 1
+        fe._detach(node_id, epoch)
         fe._attach(new_node)
         fe.rehandoffs += 1
         self.node_id = new_node

@@ -85,7 +85,7 @@ _MEMBERSHIP = ((0.5, "fail", 1), (1.5, "join", 1))
 #: (id, trace kind, config overrides, sample interval or None for untraced
 #: or "spans" for traced without samples).
 _ENTRIES = [
-    # The flattened-path identity matrix.
+    # The paper-configuration identity matrix.
     ("lard", "synth", dict(policy="lard", **_SMALL), None),
     ("lard-r", "synth", dict(policy="lard/r", **_SMALL), None),
     ("wrr", "synth", dict(policy="wrr", **_SMALL), None),
