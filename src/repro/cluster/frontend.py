@@ -83,8 +83,6 @@ class FrontEnd:
             raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         self.requests_per_connection = requests_per_connection
         self.persistent_policy = persistent_policy
-        self._targets = trace.targets
-        self._sizes = trace.sizes_by_target
         # Plain-list views of the trace: indexing a numpy array yields a
         # numpy scalar that must be unboxed per request, which dominates
         # the admission loop on long traces.  Memoized on the trace so

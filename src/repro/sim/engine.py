@@ -147,12 +147,12 @@ class Engine:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = []
-        # Same-instant staging FIFO.  An event scheduled
-        # for the *current* clock reading necessarily sorts after every
-        # queued event with an earlier time and after every same-time
-        # event already in the heap (those were pushed at an earlier
-        # clock reading, hence with a smaller seq), so it can skip the
-        # heap entirely: a quarter of a cluster simulation's events are
+        # Same-instant staging FIFO.  An event scheduled for the
+        # *current* clock reading necessarily sorts after every queued
+        # event with an earlier time and after every same-time event
+        # already in the heap (those were pushed at an earlier clock
+        # reading, hence with a smaller seq), so it can skip the heap
+        # entirely: a quarter of a cluster simulation's events are
         # zero-delay admissions and wakeups, and each would otherwise
         # sift to the heap root on push and back down on pop.  Entries
         # keep the full (time, seq, callback, args) shape, so they can
@@ -285,7 +285,7 @@ class Engine:
         ``now``) can leave the staging FIFO holding events whose time no
         longer equals the clock.  Entries keep their ``(time, seq)`` keys,
         so re-inserting them into the heap preserves dispatch order
-        exactly; the run loops' tie rule (heap before FIFO at equal
+        exactly; the run loop's tie rule (heap before FIFO at equal
         times) then remains valid because it only ever compares entries
         staged at the current clock reading.
         """
