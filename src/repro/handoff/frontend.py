@@ -30,12 +30,12 @@ path, success or failure, so the front-end can never wedge at
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.base import PolicyError
 from ..obs.metrics import Histogram, MetricsRegistry
@@ -132,7 +132,14 @@ class FrontEndServer:
         self.on_backend_failure: Optional[Callable[[int], None]] = None
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._pool = ThreadPoolExecutor(max_workers=handler_threads, thread_name_prefix="fe")
+        # A fixed handler pool, spawned whole by start(): the front-end's
+        # thread set is known from the first request on, instead of
+        # growing lazily with the timing of early connections.
+        self._handler_threads = handler_threads
+        self._handlers: List[threading.Thread] = []
+        self._jobs: "queue.SimpleQueue[Optional[Tuple[socket.socket, float]]]" = (
+            queue.SimpleQueue()
+        )
         self._running = False
         self.stats = FrontEndStats()
         self._stats_lock = threading.Lock()
@@ -169,6 +176,12 @@ class FrontEndServer:
             target=self._accept_loop, name="fe-accept", daemon=True
         )
         self._accept_thread.start()
+        for i in range(self._handler_threads):
+            thread = threading.Thread(
+                target=self._handler_loop, name=f"fe-h{i}", daemon=True
+            )
+            thread.start()
+            self._handlers.append(thread)
 
     def stop(self) -> None:
         """Close the listener and drain handler threads."""
@@ -186,7 +199,13 @@ class FrontEndServer:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
-        self._pool.shutdown(wait=True)
+        # Sentinels queue behind every accepted connection, so the
+        # handlers finish those before they exit.
+        for _ in self._handlers:
+            self._jobs.put(None)
+        for thread in self._handlers:
+            thread.join()
+        self._handlers.clear()
 
     # -- accept / inspect / hand off ------------------------------------------
 
@@ -201,7 +220,24 @@ class FrontEndServer:
                 return  # listener closed
             with self._stats_lock:
                 self.stats.accepted += 1
-            self._pool.submit(self._handle, conn, time.perf_counter())
+            self._jobs.put((conn, time.perf_counter()))
+
+    def _handler_loop(self) -> None:
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            conn, accepted_at = job
+            try:
+                self._handle(conn, accepted_at)
+            except Exception:
+                # A bug in one request must not shrink the pool.
+                with self._stats_lock:
+                    self.stats.errors += 1
+                try:
+                    conn.close()
+                except OSError:
+                    pass
 
     def _handle(self, conn: socket.socket, accepted_at: float) -> None:
         try:

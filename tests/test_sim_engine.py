@@ -365,6 +365,25 @@ def test_zero_delay_cascade_keeps_fifo_order():
     assert log == ["a", "b", "c", "child"]
 
 
+def test_schedule_at_now_runs_after_queued_same_time_events():
+    """schedule_at(now) and schedule(0.0) issued from one callback share
+    the same-instant FIFO: they run in insertion order, after every event
+    already queued for this instant."""
+    eng = Engine()
+    log = []
+
+    def first():
+        log.append("first")
+        eng.schedule_at(eng.now, log.append, "abs")
+        eng.schedule(0.0, log.append, "rel")
+        eng.schedule_at(eng.now, log.append, "abs2")
+
+    eng.schedule(1.0, first)
+    eng.schedule(1.0, log.append, "second")  # queued before the others exist
+    eng.run()
+    assert log == ["first", "second", "abs", "rel", "abs2"]
+
+
 def test_hook_runs_after_every_event_and_schedules_nothing():
     """The per-event hook sees each dispatched event once, after it ran."""
     eng = Engine()
